@@ -61,8 +61,13 @@ impl SE3 {
     /// convention used by the Franka Emika Panda datasheet:
     /// parameters `(a, d, alpha, theta)`.
     pub fn from_mdh(a: f64, d: f64, alpha: f64, theta: f64) -> Self {
+        SE3::from_mdh_sin_cos(a, d, alpha.sin_cos(), theta)
+    }
+
+    /// [`SE3::from_mdh`] with `alpha.sin_cos()` supplied by the caller, for
+    /// joints whose twist is a model constant.
+    pub fn from_mdh_sin_cos(a: f64, d: f64, (sa, ca): (f64, f64), theta: f64) -> Self {
         let (st, ct) = theta.sin_cos();
-        let (sa, ca) = alpha.sin_cos();
         let rotation =
             Mat3::from_rows([ct, -st, 0.0], [st * ca, ct * ca, -sa], [st * sa, ct * sa, ca]);
         let translation = Vec3::new(a, -sa * d, ca * d);

@@ -9,9 +9,10 @@
 //! tests and by the CPU-baseline latency model.
 
 use crate::dynamics::TaskSpaceDynamics;
-use crate::model::RobotModel;
+use crate::model::{RobotModel, MAX_DOF};
+use crate::rigid_body::{self, JacobianRows, Mat6, TaskSpace};
 use crate::state::{EndEffectorState, JointState};
-use corki_math::{DVec, UnitQuaternion, Vec3, SE3};
+use corki_math::{UnitQuaternion, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
 /// Proportional/derivative gains of the TS-CTC controller, split between the
@@ -153,7 +154,9 @@ impl TaskSpaceController {
         self
     }
 
-    /// Runs one TS-CTC cycle, returning the joint torques.
+    /// Runs one TS-CTC cycle, returning the joint torques. The shared
+    /// rigid-body pass runs on stack arrays, so the returned vector is the
+    /// cycle's only heap allocation.
     ///
     /// # Panics
     ///
@@ -164,8 +167,17 @@ impl TaskSpaceController {
         state: &JointState,
         reference: &TaskReference,
     ) -> Vec<f64> {
-        let model = self.dynamics.compute(robot, &state.positions, &state.velocities);
-        self.compute_torque_with_model(robot, state, reference, &model.end_effector, &model)
+        let n = robot.dof();
+        assert_eq!(state.positions.len(), n, "compute_torque: wrong position count");
+        assert_eq!(state.velocities.len(), n, "compute_torque: wrong velocity count");
+        let ts =
+            TaskSpace::compute(robot, &state.positions, &state.velocities, self.dynamics.damping);
+        let end_effector = EndEffectorState {
+            pose: ts.end_effector,
+            linear_velocity: ts.linear_velocity,
+            angular_velocity: ts.angular_velocity,
+        };
+        self.control_law(robot, state, reference, &end_effector, &ts.lambda, &ts.hx, &ts.jacobian)
     }
 
     /// Runs one TS-CTC cycle reusing an already-computed [`crate::TaskSpaceModel`]
@@ -178,6 +190,40 @@ impl TaskSpaceController {
         reference: &TaskReference,
         end_effector: &EndEffectorState,
         model: &crate::TaskSpaceModel,
+    ) -> Vec<f64> {
+        let mut lambda = [[0.0; 6]; 6];
+        let mut jacobian = [[0.0; MAX_DOF]; 6];
+        for i in 0..6 {
+            for (j, l) in lambda[i].iter_mut().enumerate() {
+                *l = model.task_mass_matrix[(i, j)];
+            }
+            for (j, jij) in jacobian[i][..model.jacobian.dof()].iter_mut().enumerate() {
+                *jij = model.jacobian.matrix()[(i, j)];
+            }
+        }
+        self.control_law(
+            robot,
+            state,
+            reference,
+            end_effector,
+            &lambda,
+            &model.task_bias,
+            &jacobian,
+        )
+    }
+
+    /// The TS-CTC law of Equation 6 on the task-space quantities of one
+    /// cycle.
+    #[allow(clippy::too_many_arguments)]
+    fn control_law(
+        &self,
+        robot: &RobotModel,
+        state: &JointState,
+        reference: &TaskReference,
+        end_effector: &EndEffectorState,
+        task_mass_matrix: &Mat6,
+        task_bias: &[f64; 6],
+        jacobian: &JacobianRows,
     ) -> Vec<f64> {
         let g = &self.gains;
         // Errors (Equation 6): e = xd − x, ė = ẋd − ẋ.
@@ -193,22 +239,24 @@ impl TaskSpaceController {
         let acc_ref = [acc_lin.x, acc_lin.y, acc_lin.z, acc_ang.x, acc_ang.y, acc_ang.z];
 
         // F = Mx·acc_ref + hx
-        let f = model.task_mass_matrix.mul_vec(&DVec::from_slice(&acc_ref));
-        let mut wrench = [0.0; 6];
-        for (i, w) in wrench.iter_mut().enumerate() {
-            *w = f[i] + model.task_bias[i];
+        let mut wrench = rigid_body::mul6(task_mass_matrix, &acc_ref);
+        for (w, hx) in wrench.iter_mut().zip(task_bias) {
+            *w += hx;
         }
 
-        // τ = Jᵀ F, plus null-space damping.
-        let mut tau = model.jacobian.transpose_mul_wrench(&wrench);
-        for (t, qd) in tau.iter_mut().zip(&state.velocities) {
-            *t -= g.null_space_damping * qd;
-        }
-
-        if self.clamp_to_effort_limits {
-            for (t, limit) in tau.iter_mut().zip(robot.effort_limits()) {
-                *t = t.clamp(-limit, limit);
+        // τ = Jᵀ F, plus null-space damping, clamped to the effort limits.
+        let mut tau = Vec::with_capacity(robot.dof());
+        for (j, (joint, qd)) in robot.actuated_joints().zip(&state.velocities).enumerate() {
+            let mut acc = 0.0;
+            for (row, w) in jacobian.iter().zip(&wrench) {
+                acc += row[j] * w;
             }
+            let t = acc - g.null_space_damping * qd;
+            tau.push(if self.clamp_to_effort_limits {
+                t.clamp(-joint.effort_limit, joint.effort_limit)
+            } else {
+                t
+            });
         }
         tau
     }

@@ -1,21 +1,30 @@
 //! Joint-space and task-space dynamics: RNEA, CRBA and the quantities used by
 //! task-space computed torque control.
 //!
-//! The five "key computing blocks" of the paper (Fig. 6/7) map onto this
-//! module as follows:
+//! All five "key computing blocks" of the paper (Fig. 6/7) read one shared
+//! rigid-body pass (`rigid_body.rs`), which computes each joint transform
+//! once per configuration:
 //!
-//! | Paper block              | Function                                   |
+//! | Paper block              | Shared-pass step on the joint transforms   |
 //! |--------------------------|--------------------------------------------|
-//! | Forward kinematics       | [`crate::RobotModel::forward_kinematics`]  |
-//! | Jacobian (and transpose) | [`crate::RobotModel::jacobian`]            |
-//! | Task-space mass matrix   | [`TaskSpaceDynamics::compute`] (`Mx`)      |
-//! | Task-space bias force    | [`TaskSpaceDynamics::compute`] (`hx`)      |
-//! | Joint torque             | [`crate::TaskSpaceController`]             |
+//! | Forward kinematics       | base-frame pose of every body              |
+//! | Jacobian (and transpose) | joint axes and levers from those poses     |
+//! | Task-space mass matrix   | CRBA `M`, its Cholesky factor, 6×6 LU `Mx` |
+//! | Task-space bias force    | RNEA `h` through the same factor, `J̇ θ̇`    |
+//! | Joint torque             | `Jᵀ[Mx(ẍd + Kp e + Kv ė) + hx]`            |
+//!
+//! [`crate::TaskSpaceController::compute_torque`] and the
+//! [`crate::ArmSimulator`] plant run the pass on fixed-capacity stack
+//! arrays. [`crate::RobotModel::forward_kinematics`],
+//! [`crate::RobotModel::jacobian`], the functions below and
+//! [`TaskSpaceDynamics::compute`] are thin wrappers that copy its results
+//! into the public `Vec`/`DMat` types.
 
 use crate::kinematics::Jacobian;
-use crate::model::{JointKind, RobotModel};
+use crate::model::RobotModel;
+use crate::rigid_body::{self, Frames, TaskSpace, ZERO_JOINTS};
 use crate::state::EndEffectorState;
-use corki_math::{DMat, DVec, SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3};
+use corki_math::DMat;
 use serde::{Deserialize, Serialize};
 
 impl RobotModel {
@@ -31,80 +40,19 @@ impl RobotModel {
         assert_eq!(q.len(), dof, "inverse_dynamics: wrong q length");
         assert_eq!(qd.len(), dof, "inverse_dynamics: wrong qd length");
         assert_eq!(qdd.len(), dof, "inverse_dynamics: wrong qdd length");
-
-        let n = self.num_bodies();
-        let mut xforms = Vec::with_capacity(n);
-        let mut subspaces = Vec::with_capacity(n);
-        let mut velocities = vec![SpatialMotion::ZERO; n];
-        let mut accelerations = vec![SpatialMotion::ZERO; n];
-        let mut forces = vec![SpatialForce::ZERO; n];
-
-        // Gravity trick: give the base an upward acceleration of -g so that
-        // gravitational forces appear automatically in the recursion.
-        let base_acceleration = SpatialMotion::new(Vec3::ZERO, -self.gravity());
-
-        let mut dof_idx = 0usize;
-        for (i, joint) in self.joints().iter().enumerate() {
-            let (qi, qdi, qddi) = if joint.kind.is_actuated() {
-                let v = (q[dof_idx], qd[dof_idx], qdd[dof_idx]);
-                dof_idx += 1;
-                v
-            } else {
-                (0.0, 0.0, 0.0)
-            };
-            let pose = joint.transform(qi);
-            let x = SpatialTransform::from_pose(&pose);
-            let s = match joint.kind {
-                JointKind::RevoluteZ => SpatialMotion::revolute_z(),
-                JointKind::PrismaticZ => SpatialMotion::prismatic_z(),
-                JointKind::Fixed => SpatialMotion::ZERO,
-            };
-            let v_joint = s * qdi;
-            let (v_parent, a_parent) = if i == 0 {
-                (SpatialMotion::ZERO, base_acceleration)
-            } else {
-                (velocities[i - 1], accelerations[i - 1])
-            };
-            let v = x.apply_motion(&v_parent) + v_joint;
-            let a = x.apply_motion(&a_parent) + s * qddi + v.cross_motion(&v_joint);
-            let inertia = &self.links()[i].inertia;
-            let momentum = inertia.apply(&v);
-            forces[i] = inertia.apply(&a) + v.cross_force(&momentum);
-            velocities[i] = v;
-            accelerations[i] = a;
-            xforms.push(x);
-            subspaces.push(s);
-        }
-
-        // Backward pass: project forces onto joint axes and propagate to
-        // parents.
-        let mut tau = vec![0.0; dof];
-        let mut dof_idx = dof;
-        for i in (0..n).rev() {
-            let joint = &self.joints()[i];
-            if joint.kind.is_actuated() {
-                dof_idx -= 1;
-                tau[dof_idx] = subspaces[i].dot_force(&forces[i]);
-            }
-            if i > 0 {
-                let to_parent = xforms[i].inv_apply_force(&forces[i]);
-                forces[i - 1] += to_parent;
-            }
-        }
-        tau
+        rigid_body::inverse_dynamics(self, &Frames::new(self, q), qd, qdd)[..dof].to_vec()
     }
 
     /// Bias forces `h(θ, θ̇)` (Coriolis, centrifugal and gravity): the torque
     /// required to produce zero joint acceleration.
     pub fn bias_forces(&self, q: &[f64], qd: &[f64]) -> Vec<f64> {
-        let zeros = vec![0.0; self.dof()];
-        self.inverse_dynamics(q, qd, &zeros)
+        self.inverse_dynamics(q, qd, &ZERO_JOINTS[..self.dof()])
     }
 
     /// Gravity torques `g(θ)`.
     pub fn gravity_torques(&self, q: &[f64]) -> Vec<f64> {
-        let zeros = vec![0.0; self.dof()];
-        self.inverse_dynamics(q, &zeros, &zeros)
+        let zeros = &ZERO_JOINTS[..self.dof()];
+        self.inverse_dynamics(q, zeros, zeros)
     }
 
     /// Joint-space mass matrix `M(θ)` via the composite rigid-body algorithm
@@ -116,61 +64,8 @@ impl RobotModel {
     pub fn mass_matrix(&self, q: &[f64]) -> DMat {
         let dof = self.dof();
         assert_eq!(q.len(), dof, "mass_matrix: wrong q length");
-        let n = self.num_bodies();
-
-        // Per-body joint transforms, poses in parent, motion subspaces and the
-        // actuated column index of each body (if any).
-        let mut poses_in_parent = Vec::with_capacity(n);
-        let mut xforms = Vec::with_capacity(n);
-        let mut subspaces = Vec::with_capacity(n);
-        let mut column_of_body = vec![None; n];
-        let mut dof_idx = 0usize;
-        for (i, joint) in self.joints().iter().enumerate() {
-            let qi = if joint.kind.is_actuated() {
-                let v = q[dof_idx];
-                column_of_body[i] = Some(dof_idx);
-                dof_idx += 1;
-                v
-            } else {
-                0.0
-            };
-            let pose = joint.transform(qi);
-            xforms.push(SpatialTransform::from_pose(&pose));
-            poses_in_parent.push(pose);
-            subspaces.push(match joint.kind {
-                JointKind::RevoluteZ => SpatialMotion::revolute_z(),
-                JointKind::PrismaticZ => SpatialMotion::prismatic_z(),
-                JointKind::Fixed => SpatialMotion::ZERO,
-            });
-        }
-
-        // Composite inertias, accumulated tip-to-base.
-        let mut composite: Vec<SpatialInertia> = self.links().iter().map(|l| l.inertia).collect();
-        for i in (1..n).rev() {
-            let in_parent = composite[i].expressed_in_parent(&poses_in_parent[i]);
-            composite[i - 1] = composite[i - 1].combine(&in_parent);
-        }
-
-        let mut m = DMat::zeros(dof, dof);
-        for i in 0..n {
-            let Some(col_i) = column_of_body[i] else { continue };
-            // Force produced by unit acceleration of joint i on the composite
-            // body rooted at i, expressed in frame i.
-            let mut f = composite[i].apply(&subspaces[i]);
-            m[(col_i, col_i)] = subspaces[i].dot_force(&f);
-            // Walk towards the base, projecting onto each ancestor joint.
-            let mut j = i;
-            while j > 0 {
-                f = xforms[j].inv_apply_force(&f);
-                j -= 1;
-                if let Some(col_j) = column_of_body[j] {
-                    let value = subspaces[j].dot_force(&f);
-                    m[(col_i, col_j)] = value;
-                    m[(col_j, col_i)] = value;
-                }
-            }
-        }
-        m
+        let m = rigid_body::mass_matrix(self, &Frames::new(self, q));
+        DMat::from_fn(dof, dof, |i, j| m[i][j])
     }
 
     /// Forward dynamics: the joint accelerations produced by torques `tau` at
@@ -180,12 +75,11 @@ impl RobotModel {
     ///
     /// Panics if any input length differs from the robot's DoF.
     pub fn forward_dynamics(&self, q: &[f64], qd: &[f64], tau: &[f64]) -> Vec<f64> {
-        assert_eq!(tau.len(), self.dof(), "forward_dynamics: wrong tau length");
-        let m = self.mass_matrix(q);
-        let h = self.bias_forces(q, qd);
-        let mut rhs = DVec::from_slice(tau);
-        rhs -= &DVec::from_vec(h);
-        m.solve_cholesky(&rhs).expect("mass matrix must be positive definite").into_vec()
+        let dof = self.dof();
+        assert_eq!(q.len(), dof, "forward_dynamics: wrong q length");
+        assert_eq!(qd.len(), dof, "forward_dynamics: wrong qd length");
+        assert_eq!(tau.len(), dof, "forward_dynamics: wrong tau length");
+        rigid_body::forward_dynamics(self, q, qd, tau)[..dof].to_vec()
     }
 }
 
@@ -237,68 +131,21 @@ impl TaskSpaceDynamics {
     ///
     /// Panics if `q` or `qd` have the wrong length.
     pub fn compute(&self, robot: &RobotModel, q: &[f64], qd: &[f64]) -> TaskSpaceModel {
-        let fk = robot.forward_kinematics(q);
-        let jacobian = robot.jacobian_from_fk(&fk);
-        let joint_mass_matrix = robot.mass_matrix(q);
-        let joint_bias = robot.bias_forces(q, qd);
-        let jdot_qdot = robot.jacobian_dot_qdot(q, qd);
-
-        // The seven solves below (M⁻¹ Jᵀ column by column, then M⁻¹ h) share
-        // one Cholesky factorisation of the mass matrix instead of
-        // re-factorising per solve — identical results, ~7× less O(n³) work
-        // per control cycle.
-        let mass_factor =
-            joint_mass_matrix.cholesky_factor().expect("mass matrix must be positive definite");
-        let jt = jacobian.transpose(); // n×6
         let n = robot.dof();
-        let mut minv_jt = DMat::zeros(n, 6);
-        let mut rhs = DVec::zeros(n);
-        let mut x = DVec::zeros(n);
-        for col in 0..6 {
-            for row in 0..n {
-                rhs[row] = jt[(row, col)];
-            }
-            mass_factor
-                .cholesky_solve_with_factor(&rhs, &mut x)
-                .expect("factor and right-hand side dimensions agree");
-            for row in 0..n {
-                minv_jt[(row, col)] = x[row];
-            }
-        }
-        // Λ⁻¹ = J M⁻¹ Jᵀ  (6×6), then damped inversion.
-        let mut lambda_inv = jacobian.matrix().mul_mat(&minv_jt);
-        for i in 0..6 {
-            lambda_inv[(i, i)] += self.damping;
-        }
-        let task_mass_matrix =
-            lambda_inv.inverse().expect("damped task-space inertia is invertible");
-
-        // hx = Λ (J M⁻¹ h − J̇ q̇)
-        let mut minv_h = DVec::zeros(n);
-        mass_factor
-            .cholesky_solve_with_factor(&DVec::from_slice(&joint_bias), &mut minv_h)
-            .expect("factor and right-hand side dimensions agree");
-        let j_minv_h = jacobian.matrix().mul_vec(&minv_h);
-        let mut residual = j_minv_h;
-        residual -= &DVec::from_slice(&jdot_qdot);
-        let hx_vec = task_mass_matrix.mul_vec(&residual);
-        let mut task_bias = [0.0; 6];
-        for (i, t) in task_bias.iter_mut().enumerate() {
-            *t = hx_vec[i];
-        }
-
-        let (linear_velocity, angular_velocity) = jacobian.mul_qdot(qd);
+        assert_eq!(q.len(), n, "TaskSpaceDynamics::compute: wrong q length");
+        assert_eq!(qd.len(), n, "TaskSpaceDynamics::compute: wrong qd length");
+        let ts = TaskSpace::compute(robot, q, qd, self.damping);
         TaskSpaceModel {
-            jacobian,
-            joint_mass_matrix,
-            joint_bias,
-            task_mass_matrix,
-            task_bias,
-            jdot_qdot,
+            jacobian: Jacobian::from_matrix(DMat::from_fn(6, n, |i, j| ts.jacobian[i][j])),
+            joint_mass_matrix: DMat::from_fn(n, n, |i, j| ts.mass[i][j]),
+            joint_bias: ts.bias[..n].to_vec(),
+            task_mass_matrix: DMat::from_fn(6, 6, |i, j| ts.lambda[i][j]),
+            task_bias: ts.hx,
+            jdot_qdot: ts.jdot_qdot,
             end_effector: EndEffectorState {
-                pose: fk.end_effector,
-                linear_velocity,
-                angular_velocity,
+                pose: ts.end_effector,
+                linear_velocity: ts.linear_velocity,
+                angular_velocity: ts.angular_velocity,
             },
         }
     }
@@ -308,6 +155,7 @@ impl TaskSpaceDynamics {
 mod tests {
     use super::*;
     use crate::panda::{panda_model, PANDA_HOME};
+    use corki_math::DVec;
     use proptest::prelude::*;
 
     fn random_like_config(seed: usize) -> Vec<f64> {

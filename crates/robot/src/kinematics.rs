@@ -3,9 +3,11 @@
 //! These correspond to the *Forward Kinematics* and *Jacobian* blocks of the
 //! TS-CTC data flow (paper Fig. 6/7): the pose block consumes joint angles,
 //! the Jacobian block reuses the link poses computed by the pose block — the
-//! data-reuse opportunity that the Corki accelerator exploits.
+//! data-reuse opportunity that the Corki accelerator exploits. Both are thin
+//! wrappers over the shared rigid-body pass in `rigid_body.rs`.
 
-use crate::model::{JointKind, RobotModel};
+use crate::model::RobotModel;
+use crate::rigid_body::{self, Frames};
 use corki_math::{DMat, DVec, Vec3, SE3};
 use serde::{Deserialize, Serialize};
 
@@ -88,21 +90,10 @@ impl RobotModel {
     /// Panics if `q.len()` does not equal [`RobotModel::dof`].
     pub fn forward_kinematics(&self, q: &[f64]) -> ForwardKinematics {
         assert_eq!(q.len(), self.dof(), "forward_kinematics: wrong DoF");
-        let mut link_poses = Vec::with_capacity(self.num_bodies());
-        let mut current = SE3::identity();
-        let mut qi = q.iter();
-        for joint in self.joints() {
-            let value = if joint.kind.is_actuated() {
-                *qi.next().expect("length checked above")
-            } else {
-                0.0
-            };
-            current = current * joint.transform(value);
-            link_poses.push(current);
-        }
+        let frames = Frames::new(self, q);
         ForwardKinematics {
-            end_effector: *link_poses.last().expect("model has at least one body"),
-            link_poses,
+            link_poses: frames.world().to_vec(),
+            end_effector: frames.end_effector(),
         }
     }
 
@@ -113,42 +104,19 @@ impl RobotModel {
     ///
     /// Panics if `q.len()` does not equal [`RobotModel::dof`].
     pub fn jacobian(&self, q: &[f64]) -> Jacobian {
-        let fk = self.forward_kinematics(q);
-        self.jacobian_from_fk(&fk)
+        assert_eq!(q.len(), self.dof(), "jacobian: wrong DoF");
+        self.jacobian_from_poses(Frames::new(self, q).world())
     }
 
     /// Computes the geometric Jacobian reusing an existing forward-kinematics
     /// result — the data-reuse path highlighted in the paper (Fig. 7).
     pub fn jacobian_from_fk(&self, fk: &ForwardKinematics) -> Jacobian {
-        let p_ee = fk.end_effector.translation;
-        let mut matrix = DMat::zeros(6, self.dof());
-        let mut col = 0usize;
-        for (body, joint) in self.joints().iter().enumerate() {
-            if !joint.kind.is_actuated() {
-                continue;
-            }
-            let pose = &fk.link_poses[body];
-            let axis = pose.rotation.col(2); // local Z in base frame
-            match joint.kind {
-                JointKind::RevoluteZ => {
-                    let lever = p_ee - pose.translation;
-                    let linear = axis.cross(lever);
-                    for i in 0..3 {
-                        matrix[(i, col)] = linear[i];
-                        matrix[(i + 3, col)] = axis[i];
-                    }
-                }
-                JointKind::PrismaticZ => {
-                    for i in 0..3 {
-                        matrix[(i, col)] = axis[i];
-                        matrix[(i + 3, col)] = 0.0;
-                    }
-                }
-                JointKind::Fixed => unreachable!("filtered above"),
-            }
-            col += 1;
-        }
-        Jacobian::from_matrix(matrix)
+        self.jacobian_from_poses(&fk.link_poses)
+    }
+
+    fn jacobian_from_poses(&self, world: &[SE3]) -> Jacobian {
+        let rows = rigid_body::jacobian(self, world);
+        Jacobian::from_matrix(DMat::from_fn(6, self.dof(), |i, j| rows[i][j]))
     }
 
     /// End-effector linear and angular velocity for the given joint state.
@@ -157,8 +125,10 @@ impl RobotModel {
     ///
     /// Panics if `q` or `qd` have the wrong length.
     pub fn end_effector_velocity(&self, q: &[f64], qd: &[f64]) -> (Vec3, Vec3) {
+        assert_eq!(q.len(), self.dof(), "end_effector_velocity: wrong DoF");
         assert_eq!(qd.len(), self.dof(), "end_effector_velocity: wrong DoF");
-        self.jacobian(q).mul_qdot(qd)
+        let rows = rigid_body::jacobian(self, Frames::new(self, q).world());
+        rigid_body::split(&rigid_body::jacobian_mul(&rows, qd))
     }
 
     /// The product `J̇(θ, θ̇)·θ̇` — the acceleration bias of the end-effector —
@@ -170,19 +140,7 @@ impl RobotModel {
     pub fn jacobian_dot_qdot(&self, q: &[f64], qd: &[f64]) -> [f64; 6] {
         assert_eq!(q.len(), self.dof(), "jacobian_dot_qdot: wrong DoF");
         assert_eq!(qd.len(), self.dof(), "jacobian_dot_qdot: wrong DoF");
-        let eps = 1e-6;
-        let q_plus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi + eps * di).collect();
-        let q_minus: Vec<f64> = q.iter().zip(qd).map(|(qi, di)| qi - eps * di).collect();
-        let j_plus = self.jacobian(&q_plus);
-        let j_minus = self.jacobian(&q_minus);
-        let qd_vec = DVec::from_slice(qd);
-        let v_plus = j_plus.matrix().mul_vec(&qd_vec);
-        let v_minus = j_minus.matrix().mul_vec(&qd_vec);
-        let mut out = [0.0; 6];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = (v_plus[i] - v_minus[i]) / (2.0 * eps);
-        }
-        out
+        rigid_body::jacobian_dot_qdot(self, q, qd)
     }
 }
 

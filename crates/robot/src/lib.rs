@@ -13,7 +13,10 @@
 //! * **Joint torque** — `τ = Jᵀ[Mx(ẍd + Kp e + Kv ė) + hx]` (Equation 6).
 //!
 //! The underlying joint-space quantities (mass matrix via CRBA, bias via
-//! RNEA) use the spatial-algebra primitives from [`corki_math`].
+//! RNEA) use the spatial-algebra primitives from [`corki_math`]. All of them
+//! run on one shared rigid-body pass that computes each joint transform once
+//! per configuration and keeps every intermediate in fixed-capacity stack
+//! arrays ([`MAX_DOF`], [`MAX_BODIES`]).
 //!
 //! # Example
 //!
@@ -37,6 +40,7 @@ mod dynamics;
 mod kinematics;
 mod model;
 pub mod panda;
+mod rigid_body;
 mod simulate;
 mod state;
 
@@ -47,5 +51,5 @@ pub use control::{
 };
 pub use dynamics::{TaskSpaceDynamics, TaskSpaceModel};
 pub use kinematics::{ForwardKinematics, Jacobian};
-pub use model::{JointKind, JointModel, Link, RobotError, RobotModel};
+pub use model::{JointKind, JointModel, Link, RobotError, RobotModel, MAX_BODIES, MAX_DOF};
 pub use state::{EndEffectorState, JointState};

@@ -4,6 +4,13 @@ use corki_math::{SpatialInertia, SE3};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Most actuated joints a [`RobotModel`] may have: the rigid-body pass keeps
+/// every joint-space vector and matrix in fixed-capacity stack arrays.
+pub const MAX_DOF: usize = 8;
+
+/// Most bodies (actuated and fixed) a [`RobotModel`] may have.
+pub const MAX_BODIES: usize = 12;
+
 /// The kind of a joint in the kinematic chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JointKind {
@@ -96,6 +103,11 @@ impl JointModel {
     /// The pose of the driven link frame in the parent link frame for joint
     /// variable `q` (ignored for fixed joints).
     pub fn transform(&self, q: f64) -> SE3 {
+        self.transform_with(self.alpha.sin_cos(), q)
+    }
+
+    /// [`JointModel::transform`] with `sin_cos(α)` supplied by the caller.
+    fn transform_with(&self, sin_cos_alpha: (f64, f64), q: f64) -> SE3 {
         let theta = match self.kind {
             JointKind::RevoluteZ => self.theta_offset + q,
             JointKind::PrismaticZ | JointKind::Fixed => self.theta_offset,
@@ -104,7 +116,7 @@ impl JointModel {
             JointKind::PrismaticZ => self.d + q,
             JointKind::RevoluteZ | JointKind::Fixed => self.d,
         };
-        SE3::from_mdh(self.a, d, self.alpha, theta)
+        SE3::from_mdh_sin_cos(self.a, d, sin_cos_alpha, theta)
     }
 
     /// Clamps a joint position into its limits.
@@ -159,17 +171,33 @@ impl fmt::Display for RobotError {
 
 impl std::error::Error for RobotError {}
 
+/// A joint's transform constants, cached by [`RobotModel::new`].
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// A moving joint: `sin_cos(α)` of its constant twist.
+    Moving((f64, f64)),
+    /// A fixed joint: its whole, constant transform.
+    Fixed(SE3),
+}
+
 /// A serial-chain robot model: an alternating sequence of joints and the links
 /// they drive, rooted at a fixed base.
 ///
 /// The Franka Emika Panda model used throughout the paper reproduction is
-/// constructed by [`crate::panda::panda_model`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// constructed by [`crate::panda::panda_model`]. A model is built only
+/// through [`RobotModel::new`], which validates it and caches the per-joint
+/// transform constants, so it serializes but does not deserialize; rebuild
+/// one from its (deserializable) joints and links instead.
+#[derive(Debug, Clone, Serialize)]
 pub struct RobotModel {
     name: String,
     joints: Vec<JointModel>,
     links: Vec<Link>,
     gravity: corki_math::Vec3,
+    #[serde(skip)]
+    placements: Vec<Placement>,
+    #[serde(skip)]
+    dof: usize,
 }
 
 impl RobotModel {
@@ -178,7 +206,8 @@ impl RobotModel {
     /// # Errors
     ///
     /// Returns [`RobotError::InvalidModel`] if the numbers of joints and links
-    /// differ or no joint is actuated.
+    /// differ, no joint is actuated, or the chain exceeds [`MAX_DOF`]
+    /// actuated joints or [`MAX_BODIES`] bodies.
     pub fn new(name: &str, joints: Vec<JointModel>, links: Vec<Link>) -> Result<Self, RobotError> {
         if joints.len() != links.len() {
             return Err(RobotError::InvalidModel(format!(
@@ -187,15 +216,49 @@ impl RobotModel {
                 links.len()
             )));
         }
-        if !joints.iter().any(|j| j.kind.is_actuated()) {
+        let dof = joints.iter().filter(|j| j.kind.is_actuated()).count();
+        if dof == 0 {
             return Err(RobotError::InvalidModel("model has no actuated joints".to_owned()));
         }
+        if dof > MAX_DOF || joints.len() > MAX_BODIES {
+            return Err(RobotError::InvalidModel(format!(
+                "{dof} actuated joints and {} bodies exceed the {MAX_DOF}-DoF, \
+                 {MAX_BODIES}-body capacity",
+                joints.len()
+            )));
+        }
+        let placements = joints
+            .iter()
+            .map(|j| match j.kind {
+                JointKind::Fixed => Placement::Fixed(j.transform(0.0)),
+                JointKind::RevoluteZ | JointKind::PrismaticZ => {
+                    Placement::Moving(j.alpha.sin_cos())
+                }
+            })
+            .collect();
         Ok(RobotModel {
             name: name.to_owned(),
             joints,
             links,
             gravity: corki_math::Vec3::new(0.0, 0.0, -9.81),
+            placements,
+            dof,
         })
+    }
+
+    /// The transform of body `body` in its parent frame for joint variable
+    /// `q`, from the constants cached by [`RobotModel::new`]: bit-identical
+    /// to `self.joints()[body].transform(q)`.
+    pub(crate) fn joint_transform(&self, body: usize, q: f64) -> SE3 {
+        match self.placements[body] {
+            Placement::Fixed(pose) => pose,
+            Placement::Moving(sin_cos_alpha) => self.joints[body].transform_with(sin_cos_alpha, q),
+        }
+    }
+
+    /// The actuated joints, in chain order.
+    pub(crate) fn actuated_joints(&self) -> impl Iterator<Item = &JointModel> {
+        self.joints.iter().filter(|j| j.kind.is_actuated())
     }
 
     /// The robot's name.
@@ -205,7 +268,7 @@ impl RobotModel {
 
     /// Number of actuated degrees of freedom.
     pub fn dof(&self) -> usize {
-        self.joints.iter().filter(|j| j.kind.is_actuated()).count()
+        self.dof
     }
 
     /// Total number of bodies (actuated and fixed) in the chain.
@@ -264,24 +327,17 @@ impl RobotModel {
     /// Panics if `q.len()` does not match the robot's DoF.
     pub fn clamp_positions(&self, q: &[f64]) -> Vec<f64> {
         assert_eq!(q.len(), self.dof(), "clamp_positions: wrong DoF");
-        let mut out = Vec::with_capacity(q.len());
-        let mut qi = q.iter();
-        for joint in &self.joints {
-            if joint.kind.is_actuated() {
-                out.push(joint.clamp_position(*qi.next().expect("length checked")));
-            }
-        }
-        out
+        self.actuated_joints().zip(q).map(|(joint, &qi)| joint.clamp_position(qi)).collect()
     }
 
     /// Returns per-joint effort (torque) limits for the actuated joints.
     pub fn effort_limits(&self) -> Vec<f64> {
-        self.joints.iter().filter(|j| j.kind.is_actuated()).map(|j| j.effort_limit).collect()
+        self.actuated_joints().map(|j| j.effort_limit).collect()
     }
 
     /// Returns per-joint velocity limits for the actuated joints.
     pub fn velocity_limits(&self) -> Vec<f64> {
-        self.joints.iter().filter(|j| j.kind.is_actuated()).map(|j| j.velocity_limit).collect()
+        self.actuated_joints().map(|j| j.velocity_limit).collect()
     }
 }
 
@@ -332,6 +388,47 @@ mod tests {
         let joints = vec![JointModel::fixed("f", 0.0, 0.0, 0.0, 0.0)];
         let links = vec![Link::new("l", SpatialInertia::zero())];
         assert!(RobotModel::new("bad", joints, links).is_err());
+    }
+
+    #[test]
+    fn models_beyond_the_fixed_capacity_are_rejected() {
+        let revolute =
+            |i: usize| JointModel::revolute(&format!("j{i}"), 0.1, 0.0, 0.0, -1.0, 1.0, 1.0, 1.0);
+        let link = |i: usize| Link::new(&format!("l{i}"), SpatialInertia::zero());
+        let too_many_dof = RobotModel::new(
+            "long",
+            (0..=MAX_DOF).map(revolute).collect(),
+            (0..=MAX_DOF).map(link).collect(),
+        );
+        assert!(matches!(too_many_dof, Err(RobotError::InvalidModel(_))));
+        let mut joints: Vec<JointModel> = (0..MAX_DOF).map(revolute).collect();
+        joints.extend(
+            (MAX_DOF..=MAX_BODIES).map(|i| JointModel::fixed(&format!("f{i}"), 0.0, 0.1, 0.0, 0.0)),
+        );
+        let links = (0..=MAX_BODIES).map(link).collect();
+        assert!(matches!(RobotModel::new("deep", joints, links), Err(RobotError::InvalidModel(_))));
+        let at_capacity = RobotModel::new(
+            "full",
+            (0..MAX_DOF).map(revolute).collect(),
+            (0..MAX_DOF).map(link).collect(),
+        );
+        assert_eq!(at_capacity.unwrap().dof(), MAX_DOF);
+    }
+
+    #[test]
+    fn cached_joint_transforms_match_the_joint_models() {
+        let mut joints = two_link().joints().to_vec();
+        joints[1].alpha = 0.7;
+        joints[1].theta_offset = -0.2;
+        joints.push(JointModel::fixed("flange", 0.05, 0.1, -0.3, 0.4));
+        let mut links = two_link().links().to_vec();
+        links.push(Link::new("flange", SpatialInertia::zero()));
+        let robot = RobotModel::new("cached", joints, links).unwrap();
+        for (body, joint) in robot.joints().iter().enumerate() {
+            for q in [-0.0, 0.0, 0.3, -1.7] {
+                assert_eq!(robot.joint_transform(body, q), joint.transform(q));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! semi-implicit Euler scheme at a configurable physics step, which is how
 //! `corki-sim` closes the loop policy → trajectory → TS-CTC → robot motion.
 
-use crate::model::RobotModel;
+use crate::model::{RobotModel, MAX_DOF};
+use crate::rigid_body;
 use crate::state::JointState;
 use serde::{Deserialize, Serialize};
 
@@ -110,39 +111,44 @@ impl ArmSimulator {
         &self.state
     }
 
+    /// One semi-implicit Euler step of `dt` seconds on the shared
+    /// rigid-body pass: one set of joint transforms feeds both CRBA and
+    /// RNEA, and nothing touches the heap.
     fn substep(&mut self, torque: &[f64], dt: f64) {
-        let mut applied = torque.to_vec();
-        if self.config.enforce_effort_limits {
-            for (t, limit) in applied.iter_mut().zip(self.robot.effort_limits()) {
-                *t = t.clamp(-limit, limit);
-            }
+        let config = &self.config;
+        let state = &mut self.state;
+        let mut applied = [0.0; MAX_DOF];
+        let joints = self.robot.actuated_joints().zip(torque).zip(&state.velocities);
+        for (a, ((joint, &t), qd)) in applied.iter_mut().zip(joints) {
+            *a = if config.enforce_effort_limits {
+                t.clamp(-joint.effort_limit, joint.effort_limit)
+            } else {
+                t
+            };
+            // Viscous friction.
+            *a -= config.joint_friction * qd;
         }
-        // Viscous friction.
-        for (t, qd) in applied.iter_mut().zip(&self.state.velocities) {
-            *t -= self.config.joint_friction * qd;
-        }
-        let qdd =
-            self.robot.forward_dynamics(&self.state.positions, &self.state.velocities, &applied);
+        let qdd = rigid_body::forward_dynamics(
+            &self.robot,
+            &state.positions,
+            &state.velocities,
+            &applied[..torque.len()],
+        );
         // Semi-implicit Euler: update velocity first, then position.
-        for (v, a) in self.state.velocities.iter_mut().zip(&qdd) {
+        let joints = self.robot.actuated_joints().zip(&qdd);
+        let motion = state.positions.iter_mut().zip(state.velocities.iter_mut());
+        for ((p, v), (joint, a)) in motion.zip(joints) {
             *v += a * dt;
-        }
-        let vel_limits = self.robot.velocity_limits();
-        for (v, limit) in self.state.velocities.iter_mut().zip(vel_limits) {
+            let limit = joint.velocity_limit;
             if limit > 0.0 {
                 *v = v.clamp(-limit, limit);
             }
-        }
-        for (p, v) in self.state.positions.iter_mut().zip(&self.state.velocities) {
-            *p += v * dt;
-        }
-        if self.config.enforce_position_limits {
-            let clamped = self.robot.clamp_positions(&self.state.positions);
-            let joints = self.state.positions.iter_mut().zip(self.state.velocities.iter_mut());
-            for ((p, v), c) in joints.zip(&clamped) {
+            *p += *v * dt;
+            if config.enforce_position_limits {
+                let c = joint.clamp_position(*p);
                 if (c - *p).abs() > 1e-12 {
                     // Hit a joint limit: stop the joint.
-                    *p = *c;
+                    *p = c;
                     *v = 0.0;
                 }
             }
