@@ -172,12 +172,15 @@ impl TaskSpaceController {
         assert_eq!(state.velocities.len(), n, "compute_torque: wrong velocity count");
         let ts =
             TaskSpace::compute(robot, &state.positions, &state.velocities, self.dynamics.damping);
-        let end_effector = EndEffectorState {
-            pose: ts.end_effector,
-            linear_velocity: ts.linear_velocity,
-            angular_velocity: ts.angular_velocity,
-        };
-        self.control_law(robot, state, reference, &end_effector, &ts.lambda, &ts.hx, &ts.jacobian)
+        self.control_law(
+            robot,
+            state,
+            reference,
+            &ts.end_effector,
+            &ts.lambda,
+            &ts.hx,
+            &ts.jacobian,
+        )
     }
 
     /// Runs one TS-CTC cycle reusing an already-computed [`crate::TaskSpaceModel`]

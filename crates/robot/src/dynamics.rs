@@ -142,11 +142,7 @@ impl TaskSpaceDynamics {
             task_mass_matrix: DMat::from_fn(6, 6, |i, j| ts.lambda[i][j]),
             task_bias: ts.hx,
             jdot_qdot: ts.jdot_qdot,
-            end_effector: EndEffectorState {
-                pose: ts.end_effector,
-                linear_velocity: ts.linear_velocity,
-                angular_velocity: ts.angular_velocity,
-            },
+            end_effector: ts.end_effector,
         }
     }
 }

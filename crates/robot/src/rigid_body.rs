@@ -17,6 +17,7 @@
 //! pins the resulting bits, so a reordered sum fails there.
 
 use crate::model::{JointKind, RobotModel, MAX_BODIES, MAX_DOF};
+use crate::state::EndEffectorState;
 use corki_math::{SpatialForce, SpatialInertia, SpatialMotion, SpatialTransform, Vec3, SE3};
 
 /// A joint-space vector; entries at and beyond the robot's DoF are unused.
@@ -394,14 +395,10 @@ fn invert6(a: &Mat6) -> Option<Mat6> {
 
 /// Every quantity of one TS-CTC control cycle, from one set of joint
 /// transforms (plus the two perturbed kinematic passes of `J̇ q̇`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct TaskSpace {
-    /// End-effector pose.
-    pub end_effector: SE3,
-    /// End-effector linear velocity `J_v q̇`.
-    pub linear_velocity: Vec3,
-    /// End-effector angular velocity `J_ω q̇`.
-    pub angular_velocity: Vec3,
+    /// End-effector pose and velocity `J q̇`.
+    pub end_effector: EndEffectorState,
     /// Geometric Jacobian `J`.
     pub jacobian: JacobianRows,
     /// Joint-space mass matrix `M`.
@@ -464,9 +461,11 @@ impl TaskSpace {
 
         let (linear_velocity, angular_velocity) = split(&jacobian_mul(&jacobian, qd));
         TaskSpace {
-            end_effector: frames.end_effector(),
-            linear_velocity,
-            angular_velocity,
+            end_effector: EndEffectorState {
+                pose: frames.end_effector(),
+                linear_velocity,
+                angular_velocity,
+            },
             jacobian,
             mass,
             bias,
